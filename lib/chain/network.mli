@@ -10,7 +10,8 @@ type 'msg t
 val create : ?log_cap:int -> unit -> 'msg t
 (** [log_cap] bounds the retained traffic log (the queue of in-flight
     messages is always bounded by the synchrony assumption); without it
-    the log keeps every message ever sent. *)
+    the log keeps every message ever sent, and with [log_cap = 0] it
+    keeps none. *)
 
 val send :
   'msg t -> round:int -> sender:string -> recipient:string -> 'msg -> unit

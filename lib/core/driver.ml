@@ -118,7 +118,7 @@ let open_channel (t : t) ~(id : string) ~(alice : Party.t) ~(bob : Party.t)
 
 (** Did this party report the given event (at any round)? *)
 let saw_event (p : Party.t) (pred : Party.event -> bool) : bool =
-  List.exists (fun (_, ev) -> pred ev) (Party.events p)
+  Party.exists_event p pred
 
 let channel_operational (p : Party.t) ~(id : string) : bool =
   match Party.find_chan p id with
@@ -167,11 +167,13 @@ let update_channel ?(max_rounds = 20) (t : t) ~(id : string)
   go max_rounds
 
 (** Total protocol bytes exchanged so far (communication cost, using
-    the canonical wire encoding). *)
+    the canonical wire encoding). Summed over the retained traffic log,
+    so it is only defined while that log holds every message sent. *)
 let bytes_sent (t : t) : int =
-  List.fold_left
-    (fun acc (_, env) -> acc + Wire.size env.Network.payload)
-    0 (Network.log t.net)
+  let log = Network.log t.net in
+  if Network.total_sent t.net > List.length log then
+    invalid_arg "Driver.bytes_sent: traffic log capped";
+  List.fold_left (fun acc (_, env) -> acc + Wire.size env.Network.payload) 0 log
 
 (** Number of protocol messages exchanged so far. *)
 let messages_sent (t : t) : int = Network.total_sent t.net

@@ -19,7 +19,8 @@ val create :
     Δ governs posting delays) instead of creating a private one;
     [delta]/[genesis_time] then have no effect. [net_log_cap] bounds
     the retained network traffic log (total counters are unaffected) —
-    set it when simulating very many channels so memory stays flat. *)
+    set it when simulating very many channels so memory stays flat;
+    [0] keeps no log at all. {!bytes_sent} needs the full log. *)
 
 val ledger : t -> Ledger.t
 val round : t -> int
@@ -63,6 +64,9 @@ val update_channel :
     timeout or rejection. *)
 
 val bytes_sent : t -> int
-(** Total protocol bytes exchanged (canonical wire encoding). *)
+(** Total protocol bytes exchanged (canonical wire encoding), summed
+    over the retained traffic log.
+    @raise Invalid_argument once a [net_log_cap] has dropped any
+    message from the log: the sum would undercount. *)
 
 val messages_sent : t -> int

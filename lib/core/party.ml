@@ -227,6 +227,10 @@ let create ?(env = accept_all) ~(pid : string) ~(seed : int) () : t =
     ops = { signs = 0; verifies = 0; exps = 0 } }
 
 let events (t : t) : (int * event) list = List.rev t.outbox
+
+let exists_event (t : t) (pred : event -> bool) : bool =
+  List.exists (fun (_, ev) -> pred ev) t.outbox
+
 let ops (t : t) : ops = t.ops
 
 let emit (t : t) (ctx : ctx) (ev : event) =

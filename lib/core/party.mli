@@ -161,6 +161,10 @@ val create : ?env:env_policy -> pid:string -> seed:int -> unit -> t
 val events : t -> (int * event) list
 (** Environment outputs, oldest first. *)
 
+val exists_event : t -> (event -> bool) -> bool
+(** [exists_event t p] = [List.exists (fun (_, ev) -> p ev) (events t)],
+    without copying the history — for polling loops. *)
+
 val ops : t -> ops
 
 val find_chan : t -> string -> chan option

@@ -10,13 +10,23 @@ module Script = Daric_script.Script
 (* ------------------------------------------------------------------ *)
 (* Scripts (Appendix B).                                               *)
 
-(* Script generation and hashing are on the per-update hot path
-   (every commit pair rebuilds and rehashes its output scripts), but
-   the inputs are a handful of ints — public keys are group elements,
-   locks are heights — so scripts and their P2WSH hashes are memoized
-   on exactly those ints. Domain-local like the crypto memo tables;
-   bounded, reset wholesale when full. *)
+(* Two kinds of memo, chosen by how far apart a result's reuses are.
+
+   Per-key results (funding scripts, P2WPKH payouts) depend only on
+   channel keys, so they are reused by every payment of a channel:
+   they live in bounded tables that grow with the number of live keys
+   and are reset wholesale when full.
+
+   Per-state results (commit scripts, commit/split/revocation bodies)
+   carry a state index, so they are reused only within the payment
+   that creates them — both parties generate the same data moments
+   apart. They live in small direct-mapped {!Daric_util.Slotcache}s
+   sized to one payment's entries, so each payment's bodies and
+   scripts die young instead of being promoted and retained for
+   thousands of payments. Both kinds are domain-local. *)
 let memo_max = 1 lsl 14
+
+let per_state_slots = 16
 
 let memoize (type k v) () : (k -> v) -> k -> v =
   let table : (k, v) Hashtbl.t Domain.DLS.key =
@@ -74,7 +84,7 @@ let commit_memo :
     (int * int * int * int * int * int -> Script.t * string) ->
     int * int * int * int * int * int ->
     Script.t * string =
-  memoize ()
+  Daric_util.Slotcache.domain_local per_state_slots
 
 let commit_script_and_hash ~(abs_lock : int) ~(rel_lock : int) ~rev_pk1
     ~rev_pk2 ~spl_pk1 ~spl_pk2 : Script.t * string =
@@ -87,7 +97,7 @@ let commit_script_and_hash ~(abs_lock : int) ~(rel_lock : int) ~rev_pk1
           Push (Keys.enc spl_pk1); Push (Keys.enc spl_pk2); Small 2;
           Checkmultisig; Endif ]
       in
-      (s, Script.hash s))
+      (s, Script.hash_uncached s))
     (abs_lock, rel_lock, rev_pk1, rev_pk2, spl_pk1, spl_pk2)
 
 let commit_script ~(abs_lock : int) ~(rel_lock : int) ~rev_pk1 ~rev_pk2
@@ -114,12 +124,12 @@ let gen_fund ~(tid_a : Tx.outpoint) ~(tid_b : Tx.outpoint) ~(cash : int)
 (* --- body sharing ---------------------------------------------------
    During an update both parties generate the same commit pair, split
    and revocation bodies from identical inputs. Memoizing the
-   generators on exactly those inputs makes the two [Party.t] sides
-   hold ONE heap copy of each body instead of two structurally-equal
-   ones — and makes an N-update run reuse bodies across channels with
-   identical parameters. The [_fresh] generators below are the
-   uncopied originals, kept callable as the differential-test oracle;
-   [set_sharing false] routes the public generators through them. *)
+   generators on exactly those inputs (in per-state slot caches, see
+   above) makes the two [Party.t] sides hold ONE heap copy of each
+   body instead of two structurally-equal ones. The [_fresh]
+   generators below are the uncopied originals, kept callable as the
+   differential-test oracle; [set_sharing false] routes the public
+   generators through them. *)
 let sharing = Atomic.make true
 
 let set_sharing (b : bool) : unit = Atomic.set sharing b
@@ -151,7 +161,7 @@ let commit_body_memo :
     (Tx.outpoint * int * Keys.pub * Keys.pub * int * int * int -> Tx.t * Tx.t) ->
     Tx.outpoint * int * Keys.pub * Keys.pub * int * int * int ->
     Tx.t * Tx.t =
-  memoize ()
+  Daric_util.Slotcache.domain_local per_state_slots
 
 let gen_commit ~(funding : Tx.outpoint) ~(value : int) ~(keys_a : Keys.pub)
     ~(keys_b : Keys.pub) ~(s0 : int) ~(i : int) ~(rel_lock : int) : Tx.t * Tx.t
@@ -183,7 +193,7 @@ let gen_split_fresh ~(theta : Tx.output list) ~(s0 : int) ~(i : int) : Tx.t =
 
 let split_body_memo :
     (Tx.output list * int * int -> Tx.t) -> Tx.output list * int * int -> Tx.t =
-  memoize ()
+  Daric_util.Slotcache.domain_local per_state_slots
 
 let gen_split ~(theta : Tx.output list) ~(s0 : int) ~(i : int) : Tx.t =
   if not (Atomic.get sharing) then gen_split_fresh ~theta ~s0 ~i
@@ -213,7 +223,7 @@ let revoke_body_memo :
     Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key * int
     * int * int ->
     Tx.t * Tx.t =
-  memoize ()
+  Daric_util.Slotcache.domain_local per_state_slots
 
 let gen_revoke ~(pk_a : Daric_crypto.Schnorr.public_key)
     ~(pk_b : Daric_crypto.Schnorr.public_key) ~(cash : int) ~(s0 : int)

@@ -37,9 +37,10 @@ val gen_commit :
     can reconstruct the hidden script (Section 8).
 
     With {!set_sharing} on (the default) the result is memoized on its
-    inputs, so the two parties of an update — both generating this
-    pair from the same data — share one physical body instead of two
-    structurally-equal copies. *)
+    inputs in a small per-domain cache that holds one payment's
+    bodies, so the two parties of an update — both generating this
+    pair from the same data moments apart — share one physical body
+    instead of two structurally-equal copies. *)
 
 val set_sharing : bool -> unit
 (** Toggle body sharing for {!gen_commit}, {!gen_split} and

@@ -66,6 +66,7 @@ type entry = {
   mutable e_funding : Tx.outpoint;
   mutable e_rbytes : int;  (** {!record_bytes} of the current record *)
   mutable e_data : data;
+  mutable e_fresh : bool;  (** the channel id is queued in [fresh] *)
 }
 
 and data = Slot of Arena.slot | Boxed_rec of record
@@ -78,8 +79,9 @@ type t = {
   by_funding : (Tx.outpoint, string) Hashtbl.t;
       (** guarded funding outpoint → channel id *)
   mutable fresh : string list;
-      (** channels (re)watched since the last poll; checked once
-          directly in case their funding was spent before watching *)
+      (** channels (re)watched since the last poll, each once; checked
+          once directly in case their funding was spent before
+          watching. Only ids with a live entry are listed. *)
   punished_set : (string, unit) Hashtbl.t;
   mutable punished_list : string list;  (** newest first, for reporting *)
   mutable cursor : int;  (** position in the ledger's spent log *)
@@ -127,8 +129,8 @@ let read_record r : record =
   let client_role = Codec.read_role r in
   let revoked = R.u32 r in
   let rev_body = Txcodec.read_tx r in
-  let sig_a = Intern.string (R.var_string r) in
-  let sig_b = Intern.string (R.var_string r) in
+  let sig_a = R.var_string r in
+  let sig_b = R.var_string r in
   { channel_id; funding = { Tx.txid; vout }; keys_a; keys_b; s0; rel_lock;
     cash; client_role; revoked; rev_body; sig_a; sig_b }
 
@@ -184,17 +186,42 @@ let put_record (t : t) (r : record) : unit =
         | Boxed -> Boxed_rec r
       in
       Hashtbl.replace t.entries r.channel_id
-        { e_funding = r.funding; e_rbytes = rb; e_data = data };
+        { e_funding = r.funding; e_rbytes = rb; e_data = data; e_fresh = false };
       Hashtbl.replace t.by_funding r.funding r.channel_id
 
+(* Queue an installed channel for the next poll's direct check, at
+   most once however often it is re-watched before that poll. *)
+let mark_fresh (t : t) (channel_id : string) : unit =
+  match Hashtbl.find_opt t.entries channel_id with
+  | Some e when not e.e_fresh ->
+      e.e_fresh <- true;
+      t.fresh <- channel_id :: t.fresh
+  | _ -> ()
+
+(* Empty the fresh queue, returning it (newest first). *)
+let take_fresh (t : t) : string list =
+  let fresh = t.fresh in
+  t.fresh <- [];
+  List.iter
+    (fun cid ->
+      match Hashtbl.find_opt t.entries cid with
+      | Some e -> e.e_fresh <- false
+      | None -> ())
+    fresh;
+  fresh
+
 (* Drop a channel's entry and reclaim its storage: the arena slot goes
-   back on the free list (packed) or the boxed record is unpinned. *)
+   back on the free list (packed) or the boxed record is unpinned. A
+   dropped channel also leaves the fresh queue, so a snapshot never
+   carries an id that has no record. *)
 let drop_record (t : t) (channel_id : string) : unit =
   match Hashtbl.find_opt t.entries channel_id with
   | None -> ()
   | Some e ->
       Hashtbl.remove t.entries channel_id;
       Hashtbl.remove t.by_funding e.e_funding;
+      if e.e_fresh then
+        t.fresh <- List.filter (fun c -> not (String.equal c channel_id)) t.fresh;
       (match e.e_data with
       | Slot s -> Arena.free t.arena s
       | Boxed_rec _ -> ())
@@ -237,7 +264,7 @@ let watch (t : t) (r : record) : bool =
   if not (record_valid r) then false
   else begin
     put_record t r;
-    t.fresh <- r.channel_id :: t.fresh;
+    mark_fresh t r.channel_id;
     true
   end
 
@@ -250,7 +277,7 @@ let watch (t : t) (r : record) : bool =
     the tower was down), snapshot restores carry the persisted flag. *)
 let restore_record (t : t) ~(fresh : bool) (r : record) : unit =
   put_record t r;
-  if fresh then t.fresh <- r.channel_id :: t.fresh
+  if fresh then mark_fresh t r.channel_id
 
 let unwatch (t : t) ~(channel_id : string) : unit = drop_record t channel_id
 
@@ -353,9 +380,7 @@ let check_channel (t : t) ~(ledger : Ledger.t) ~(post : Tx.t -> unit)
 let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
     ~(post : Tx.t -> unit) : unit =
   ignore round;
-  let fresh = t.fresh in
-  t.fresh <- [];
-  List.iter (check_channel t ~ledger ~post) fresh;
+  List.iter (check_channel t ~ledger ~post) (take_fresh t);
   t.cursor <-
     Ledger.iter_spent_since ledger ~cursor:t.cursor (fun o ->
         match Hashtbl.find_opt t.by_funding o with
@@ -370,7 +395,7 @@ let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
 let end_of_round_scan (t : t) ~(round : int) ~(ledger : Ledger.t)
     ~(post : Tx.t -> unit) : unit =
   ignore round;
-  t.fresh <- [];
+  ignore (take_fresh t : string list);
   t.cursor <- Ledger.spent_log_length ledger;
   (* a punish reclaims the record, so snapshot the guarded set before
      iterating — mutating a hashtable mid-[iter] is unspecified *)
@@ -387,9 +412,10 @@ let end_of_round_scan (t : t) ~(round : int) ~(ledger : Ledger.t)
 
 (** Build the current watchtower record for a party's channel. Returns
     [None] until the first update has completed (there is nothing to
-    revoke in state 0). Signature and txid strings are interned — the
-    same bytes are also held by the parties, and at N channels the
-    duplicates add up. *)
+    revoke in state 0). The channel id is interned — the parties and
+    indexes hold the same bytes. The two signatures are fresh on every
+    update and the packed tower keeps its own copy in the arena, so
+    interning them would share nothing. *)
 let record_for (p : Party.t) ~(id : string) : record option =
   match Party.find_chan p id with
   | None -> None
@@ -411,6 +437,6 @@ let record_for (p : Party.t) ~(id : string) : record option =
               client_role = c.Party.cfg.role;
               revoked;
               rev_body;
-              sig_a = Intern.string sig_a;
-              sig_b = Intern.string sig_b }
+              sig_a;
+              sig_b }
       | _ -> None)

@@ -110,27 +110,31 @@ let challenge_uncached (r : Group.element) (pk : public_key) (msg : string) :
        (Group.encode_element r ^ Group.encode_element pk ^ msg))
 
 (* Fiat-Shamir challenges are recomputed for the same (R, pk, msg) by
-   signer, peer, ledger, mempool and watchtower alike; e = H(...) is a
-   pure function, so the scalar is memoized on its preimage. Bounded;
-   reset wholesale when full. Domain-local for the same reason as
-   [validated_keys]. *)
-let challenge_cache : (string, Group.scalar) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
+   the signer, the peer that verifies the signature moments later and
+   the watchtower that checks the record — all within one payment. A
+   fresh signature's challenge is not needed again after that, so the
+   scalars live in a small direct-mapped cache sized to one payment's
+   signatures (domain-local, like [validated_keys]): the cache never
+   holds a payment's challenges long enough to promote them. The hash
+   absorbs the preimage R || pk || msg as slices, never concatenated. *)
+let challenge_slots = 64
 
-let challenge_cache_max = 1 lsl 16
+let challenge_of ((r, pk, msg) : Group.element * public_key * string) :
+    Group.scalar =
+  let re = Group.encode_element r and pke = Group.encode_element pk in
+  Group.scalar_of_digest
+    (Hash.tagged_parts "daric/challenge"
+       [ (re, 0, String.length re); (pke, 0, String.length pke);
+         (msg, 0, String.length msg) ])
+
+let challenge_memo :
+    (Group.element * public_key * string -> Group.scalar) ->
+    Group.element * public_key * string ->
+    Group.scalar =
+  Daric_util.Slotcache.domain_local challenge_slots
 
 let challenge (r : Group.element) (pk : public_key) (msg : string) : Group.scalar =
-  let cache = Domain.DLS.get challenge_cache in
-  let preimage = Group.encode_element r ^ Group.encode_element pk ^ msg in
-  match Hashtbl.find_opt cache preimage with
-  | Some e -> e
-  | None ->
-      let e =
-        Group.scalar_of_digest (Hash.tagged "daric/challenge" preimage)
-      in
-      if Hashtbl.length cache >= challenge_cache_max then Hashtbl.reset cache;
-      Hashtbl.add cache preimage e;
-      e
+  challenge_memo challenge_of (r, pk, msg)
 
 let nonce (sk : secret_key) (msg : string) (aux : string) : Group.scalar =
   let k =

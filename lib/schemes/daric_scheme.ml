@@ -43,11 +43,11 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
        the env so a second instance opened with the same config derives
        a distinct id instead of colliding in the shared indexes. *)
     let id = I.claim_chan_id env cfg.chan_id in
-    (* The traffic log is capped so thousands of channels on one shared
-       environment keep flat memory; byte/message totals are separate
-       counters and unaffected. *)
+    (* Nothing on the scheme path reads the traffic log, so the driver
+       keeps none: thousands of channels on one shared environment then
+       retain no envelopes. The message total is a separate counter. *)
     let d =
-      Driver.create ~ledger:env.ledger ~net_log_cap:64
+      Driver.create ~ledger:env.ledger ~net_log_cap:0
         ~seed:(cfg.party_seed + 41) ()
     in
     let alice = Party.create ~pid:("alice:" ^ id) ~seed:cfg.party_seed () in

@@ -44,7 +44,14 @@ val serialize : t -> string
 (** Canonical injective serialization, used to hash scripts. *)
 
 val hash : t -> string
-(** SHA-256 of {!serialize} — the P2WSH witness program. *)
+(** SHA-256 of {!serialize} — the P2WSH witness program. Memoized per
+    script in a bounded table, for the handful of scripts that are
+    rehashed again and again (funding outputs, spend verification). *)
+
+val hash_uncached : t -> string
+(** {!hash} without the memo table, for scripts built once per channel
+    state whose hash the caller caches for exactly as long as it is
+    reused. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,7 @@
-(* Crypto substrate tests: FIPS 180-4 and RIPEMD-160 vectors, group
-   laws, Schnorr signatures and Schnorr adaptor signatures. *)
+(* Crypto substrate tests: FIPS 180-4 and RIPEMD-160 vectors, SHA-256
+   against a textbook reference, group laws, Schnorr signatures (with
+   pinned signature bytes) and Schnorr adaptor signatures, plus the
+   direct-mapped memo cache the challenge path uses. *)
 
 module Sha256 = Daric_crypto.Sha256
 module Ripemd160 = Daric_crypto.Ripemd160
@@ -158,6 +160,142 @@ let prop_group_assoc =
       let f x = 1 + (x mod (Group.p - 1)) in
       let a = f a and b = f b and c = f c in
       Group.mul (Group.mul a b) c = Group.mul a (Group.mul b c))
+
+(* ------------------------------------------------------------------ *)
+(* SHA-256 against a textbook reference.                               *)
+
+(* FIPS 180-4 written the plain way: round constants and IV derived
+   from the cube and square roots of the first primes, a padded copy of
+   the message, a 64-word schedule and a rolling loop over tagged ints.
+   Nothing is shared with the library's unrolled kernel. *)
+module Sha256_ref = struct
+  let primes n =
+    let rec go acc k =
+      if List.length acc = n then List.rev acc
+      else if List.for_all (fun p -> k mod p <> 0) acc then go (k :: acc) (k + 1)
+      else go acc (k + 1)
+    in
+    go [] 2
+
+  let frac_bits x = int_of_float (Float.ldexp (x -. Float.of_int (truncate x)) 32)
+  let k = Array.of_list (List.map (fun p -> frac_bits (Float.cbrt (float p))) (primes 64))
+  let iv = Array.of_list (List.map (fun p -> frac_bits (sqrt (float p))) (primes 8))
+  let m32 = 0xffffffff
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+
+  let digest (msg : string) : string =
+    let len = String.length msg in
+    let padded = (len + 9 + 63) / 64 * 64 in
+    let b = Bytes.make padded '\000' in
+    Bytes.blit_string msg 0 b 0 len;
+    Bytes.set b len '\x80';
+    for i = 0 to 7 do
+      Bytes.set b (padded - 1 - i) (Char.chr (((len * 8) lsr (8 * i)) land 0xff))
+    done;
+    let h = Array.copy iv and w = Array.make 64 0 in
+    for blk = 0 to (padded / 64) - 1 do
+      for t = 0 to 15 do
+        w.(t) <- Int32.to_int (Bytes.get_int32_be b ((blk * 64) + (4 * t))) land m32
+      done;
+      for t = 16 to 63 do
+        let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+        let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+        w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
+      done;
+      let v = Array.copy h in
+      for t = 0 to 63 do
+        let a = v.(0) and e = v.(4) in
+        let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+        let ch = (e land v.(5)) lxor (lnot e land m32 land v.(6)) in
+        let t1 = (v.(7) + s1 + ch + k.(t) + w.(t)) land m32 in
+        let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+        let maj = (a land v.(1)) lxor (a land v.(2)) lxor (v.(1) land v.(2)) in
+        let t2 = (s0 + maj) land m32 in
+        Array.blit v 0 v 1 7;
+        v.(4) <- (v.(4) + t1) land m32;
+        v.(0) <- (t1 + t2) land m32
+      done;
+      Array.iteri (fun i x -> h.(i) <- (h.(i) + x) land m32) v
+    done;
+    let out = Bytes.create 32 in
+    Array.iteri (fun i x -> Bytes.set_int32_be out (4 * i) (Int32.of_int x)) h;
+    Bytes.to_string out
+end
+
+let test_sha256_reference_vectors () =
+  check_s "reference: abc"
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    (Daric_util.Hex.encode (Sha256_ref.digest "abc"));
+  List.iter
+    (fun n ->
+      let m = String.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+      check_s (Fmt.str "len %d" n) (Sha256_ref.digest m) (Sha256.digest m))
+    [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 127; 128; 300 ]
+
+let prop_sha256_reference =
+  QCheck.Test.make ~name:"sha256 = textbook reference (0-300 bytes)" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 300))
+    (fun m -> Sha256.digest m = Sha256_ref.digest m)
+
+(* The streaming path over a random two-way split of the message hits
+   the partial-block buffer at every offset. *)
+let prop_sha256_stream_reference =
+  QCheck.Test.make ~name:"st_digest = textbook reference (split input)"
+    ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
+    (fun (m, cut) ->
+      let len = String.length m in
+      let cut = if len = 0 then 0 else cut mod (len + 1) in
+      let st = Sha256.st_create () in
+      Sha256.st_feed st m 0 cut;
+      Sha256.st_digest st [ (m, cut, len - cut) ] = Sha256_ref.digest m)
+
+(* Signature bytes pinned across implementation changes of the hash
+   kernel and the challenge cache: the first 8 bytes (R, s) of
+   [sign_bytes] for fixed keys and messages, recorded from the
+   implementation before either change. The rest is zero padding. *)
+let test_signature_golden () =
+  List.iter
+    (fun (seed, msg, expected) ->
+      let sk, _ = Schnorr.keygen (Rng.create ~seed) in
+      check_s (Fmt.str "seed %d" seed) expected
+        (Daric_util.Hex.encode (String.sub (Schnorr.sign_bytes sk msg) 0 8)))
+    [ (1, "", "6803d2a617b4d795");
+      (2, "abc", "28a8a69e1199ed73");
+      (3, String.make 32 '\x5a', "03747f1e182ed068");
+      (4, String.make 200 'm', "4d6861983c6d8ac5") ]
+
+(* Direct-mapped cache: whatever the collision pattern, a lookup is
+   [f k]. The hash is forced onto at most three slots, so keys evict
+   each other constantly; a repeat of the key just looked up must hit
+   (no recomputation). *)
+let prop_slotcache_collisions =
+  QCheck.Test.make ~name:"slotcache = f under forced collisions" ~count:300
+    QCheck.(pair (int_range 0 4) (list_of_size Gen.(0 -- 200) (int_range 0 40)))
+    (fun (bits, keys) ->
+      let module C = Daric_util.Slotcache in
+      let calls = ref 0 in
+      let f k = incr calls; (k * k) + 1 in
+      let c = C.create ~hash:(fun k -> k mod 3) (1 lsl bits) in
+      List.for_all
+        (fun k ->
+          let v = C.find_or_add c f k in
+          let before = !calls in
+          v = (k * k) + 1
+          && C.find_or_add c f k = v
+          && !calls = before)
+        keys)
+
+let test_slotcache_domains () =
+  let module C = Daric_util.Slotcache in
+  check_b "size must be a power of two" true
+    (match C.create 12 with _ -> false | exception Invalid_argument _ -> true);
+  let memo = C.domain_local 4 in
+  let f k = String.make k 'x' in
+  let here = memo f 3 in
+  let there = Domain.join (Domain.spawn (fun () -> memo f 3)) in
+  check_b "same value on every domain" true (here = there);
+  check_b "hit returns the cached value" true (memo f 3 == here)
 
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:500
@@ -401,6 +539,10 @@ let () =
         [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "sha256 padding boundaries" `Quick
             test_sha256_padding_boundaries;
+          Alcotest.test_case "sha256 = reference at block boundaries" `Quick
+            test_sha256_reference_vectors;
+          QCheck_alcotest.to_alcotest prop_sha256_reference;
+          QCheck_alcotest.to_alcotest prop_sha256_stream_reference;
           Alcotest.test_case "ripemd160 vectors" `Quick test_ripemd160_vectors;
           Alcotest.test_case "combinators" `Quick test_hash_combinators ] );
       ( "group",
@@ -410,6 +552,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_schnorr_roundtrip;
           Alcotest.test_case "encodings" `Quick test_schnorr_encoding;
           Alcotest.test_case "determinism" `Quick test_signature_determinism;
+          Alcotest.test_case "golden signature bytes" `Quick
+            test_signature_golden;
           QCheck_alcotest.to_alcotest prop_sign_verify ] );
       ( "adaptor",
         [ Alcotest.test_case "pre-sign/adapt/extract" `Quick test_adaptor;
@@ -428,4 +572,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_verify_equiv;
           Alcotest.test_case "strict encodings" `Quick test_strict_encodings;
           Alcotest.test_case "txid/sighash memoization" `Quick test_txid_memo ] );
-      ("util", [ QCheck_alcotest.to_alcotest prop_hex_roundtrip ]) ]
+      ( "util",
+        [ QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+          QCheck_alcotest.to_alcotest prop_slotcache_collisions;
+          Alcotest.test_case "slotcache per domain" `Quick
+            test_slotcache_domains ] ) ]

@@ -7,9 +7,11 @@
    identical — guarded set, punished set, storage bytes, record blobs
    and byte-identical durable snapshots — with the packed side
    additionally surviving a snapshot-recovery in the middle of the
-   trace. Body sharing (one commit/split/revocation body per update
-   shared by both parties) gets the same treatment against the
-   fresh-copy generators. Plus: the arena reclaims churned slots (a
+   trace (tier-1 draws the traces from a pinned seed; the @fuzz alias
+   sweeps fresh ones). Body sharing (one commit/split/revocation body
+   per update shared by both parties) gets the same treatment against
+   the fresh-copy generators, and must survive 64 channels paying in
+   turn through the small per-payment caches. Plus: the arena reclaims churned slots (a
    tower's heap tracks its guarded count, not its lifetime watch
    count), the interner actually shares payloads, and the
    retained-words-per-channel figure at N=1k stays under a regression
@@ -22,6 +24,8 @@ module Watchtower = Daric_core.Watchtower
 module Persist = Daric_core.Persist
 module Txs = Daric_core.Txs
 module Keys = Daric_core.Keys
+module Driver = Daric_core.Driver
+module Party = Daric_core.Party
 module Arena = Daric_util.Arena
 module Intern = Daric_util.Intern
 module Rng = Daric_util.Rng
@@ -224,6 +228,28 @@ let test_directed_trace () =
     [ Watch 0; Watch 1; Watch 2; Watch 3; Fraud 1; Watch 1; Unwatch 2;
       Recover; Fraud 0; Watch 2; Recover; Fraud 3 ]
 
+(* The shortest trace that once split the backends: unwatching a
+   channel left its id in the fresh queue, the snapshot carried the
+   stale id and restoring dropped it, so the second recovery's
+   snapshots differed. *)
+let test_unwatch_pending_trace () =
+  run_pair_trace [ Watch 0; Watch 2; Unwatch 2; Recover; Recover ]
+
+(* Re-watching a channel before the next poll queues it once. *)
+let test_rewatch_queues_once () =
+  let _, chans = build_world ~channels:2 ~seed:5 () in
+  let t = Watchtower.create ~wid:"q" () in
+  let watch i =
+    match DS.watch_record chans.(i) with
+    | Some r -> check_b "watch accepted" true (Watchtower.watch t r)
+    | None -> Alcotest.fail "no watch record"
+  in
+  watch 0; watch 1; watch 0; watch 0;
+  check_sl "each pending id once" [ chan_id 1; chan_id 0 ]
+    (Watchtower.fresh_ids t);
+  Watchtower.unwatch t ~channel_id:(chan_id 1);
+  check_sl "unwatch leaves the queue" [ chan_id 0 ] (Watchtower.fresh_ids t)
+
 (* ---------------- churn: heap tracks guarded count (S1) ---------------- *)
 
 let test_churn_reclaims () =
@@ -278,6 +304,63 @@ let test_body_sharing_differential () =
           s.Daric_analysis.Scale.tower_storage_bytes ))
   in
   check_b "shared trace = copied trace" true (probe true = probe false)
+
+(* Per-state bodies are cached only for about one payment, so sharing
+   must survive many channels paying in turn: 64 channels on one
+   driver, updated round-robin in a shuffled order with alternating
+   initiators; afterwards every channel's two parties hold one physical
+   split body. *)
+let test_body_sharing_interleaved () =
+  let n = 64 in
+  let d = Driver.create ~delta:1 ~seed:31 () in
+  let chans =
+    Array.init n (fun k ->
+        let id = Printf.sprintf "ix%d" k in
+        let alice = Party.create ~pid:("alice:" ^ id) ~seed:(1000 + (2 * k)) () in
+        let bob = Party.create ~pid:("bob:" ^ id) ~seed:(1001 + (2 * k)) () in
+        Driver.add_party d alice;
+        Driver.add_party d bob;
+        Driver.open_channel d ~id ~alice ~bob ~bal_a:50_000 ~bal_b:50_000 ();
+        (id, alice, bob))
+  in
+  Array.iter
+    (fun (id, alice, bob) ->
+      check_b "channel open" true (Driver.run_until_operational d ~id ~alice ~bob))
+    chans;
+  let rng = Rng.create ~seed:4 in
+  for pass = 1 to 3 do
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    Array.iter
+      (fun k ->
+        let id, alice, bob = chans.(k) in
+        let pk_a, pk_b = Party.main_pks (Party.chan_exn alice id) in
+        let theta =
+          Txs.balance_state ~pk_a ~pk_b ~bal_a:(50_000 - pass - k)
+            ~bal_b:(50_000 + pass + k)
+        in
+        let initiator, responder =
+          if (pass + k) mod 2 = 0 then (alice, bob) else (bob, alice)
+        in
+        check_b "update completes" true
+          (Driver.update_channel d ~id ~initiator ~responder ~theta))
+      order
+  done;
+  Array.iter
+    (fun (id, alice, bob) ->
+      match
+        ((Party.chan_exn alice id).Party.split, (Party.chan_exn bob id).Party.split)
+      with
+      | Some a, Some b ->
+          check_b (id ^ ": one split body for both parties") true
+            (a.Party.split_body == b.Party.split_body)
+      | _ -> Alcotest.fail (id ^ ": no split"))
+    chans
 
 let test_body_sharing_physical () =
   let rng = Rng.create ~seed:77 in
@@ -348,20 +431,64 @@ let test_retained_words_per_channel () =
   check_b "interner shared payloads" true
     (s.Daric_analysis.Memprobe.intern_saved_bytes > 0)
 
+(* Tier-1 runs the trace property from one pinned seed, so a red run
+   always reproduces; [test_mem.exe sweep N] (the [@fuzz] alias) runs
+   it from N fresh random seeds and prints each one, and
+   [test_mem.exe seed S] reruns a single seed. *)
+let pinned_seed = 20261018
+
+let run_seed (seed : int) : bool =
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| seed |])
+      fuzz_arena_vs_boxed
+  with
+  | () ->
+      Printf.printf "seed %d: ok\n%!" seed;
+      true
+  | exception e ->
+      Printf.printf "seed %d: FAILED\n%s\n%!" seed (Printexc.to_string e);
+      false
+
+(* Results go to stdout; stderr, where every passing check logs a line,
+   is discarded. *)
+let sweep (n : int) : unit =
+  Unix.dup2 (Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0) Unix.stderr;
+  Random.self_init ();
+  let failed =
+    List.filter
+      (fun seed -> not (run_seed seed))
+      (List.init n (fun _ -> Random.bits ()))
+  in
+  Printf.printf "%d of %d seeds failed%s\n" (List.length failed) n
+    (String.concat "" (List.map (Printf.sprintf " %d") failed));
+  exit (if failed = [] then 0 else 1)
+
 let () =
-  Alcotest.run "daric-mem"
-    [ ( "engine",
-        [ Alcotest.test_case "arena store/replace/free/reuse" `Quick test_arena;
-          Alcotest.test_case "interning" `Quick test_intern;
-          Alcotest.test_case "directed arena-vs-boxed trace" `Quick
-            test_directed_trace;
-          Alcotest.test_case "churn reclaims arena slots" `Quick
-            test_churn_reclaims;
-          Alcotest.test_case "body sharing differential" `Slow
-            test_body_sharing_differential;
-          Alcotest.test_case "body sharing is physical" `Quick
-            test_body_sharing_physical;
-          Alcotest.test_case "retained words per channel at N=1k" `Slow
-            test_retained_words_per_channel ] );
-      ( "fuzz",
-        [ QCheck_alcotest.to_alcotest fuzz_arena_vs_boxed ] ) ]
+  match Sys.argv with
+  | [| _; "sweep"; n |] -> sweep (int_of_string n)
+  | [| _; "seed"; s |] -> exit (if run_seed (int_of_string s) then 0 else 1)
+  | _ ->
+      Alcotest.run "daric-mem"
+        [ ( "engine",
+            [ Alcotest.test_case "arena store/replace/free/reuse" `Quick test_arena;
+              Alcotest.test_case "interning" `Quick test_intern;
+              Alcotest.test_case "directed arena-vs-boxed trace" `Quick
+                test_directed_trace;
+              Alcotest.test_case "unwatch of a pending channel (W0 W2 U2 R R)"
+                `Quick test_unwatch_pending_trace;
+              Alcotest.test_case "re-watch queues a channel once" `Quick
+                test_rewatch_queues_once;
+              Alcotest.test_case "churn reclaims arena slots" `Quick
+                test_churn_reclaims;
+              Alcotest.test_case "body sharing differential" `Slow
+                test_body_sharing_differential;
+              Alcotest.test_case "body sharing is physical" `Quick
+                test_body_sharing_physical;
+              Alcotest.test_case "body sharing across 64 interleaved channels"
+                `Slow test_body_sharing_interleaved;
+              Alcotest.test_case "retained words per channel at N=1k" `Slow
+                test_retained_words_per_channel ] );
+          ( "fuzz",
+            [ QCheck_alcotest.to_alcotest
+                ~rand:(Random.State.make [| pinned_seed |])
+                fuzz_arena_vs_boxed ] ) ]

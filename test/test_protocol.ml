@@ -88,6 +88,14 @@ let test_collaborative_close () =
     (Driver.saw_event s.alice (function Party.Closed _ -> true | _ -> false));
   check "bob saw CLOSED" true
     (Driver.saw_event s.bob (function Party.Closed _ -> true | _ -> false));
+  List.iter
+    (fun pred ->
+      check "exists_event = exists over events" true
+        (Party.exists_event s.alice pred
+        = List.exists (fun (_, ev) -> pred ev) (Party.events s.alice)))
+    [ (function Party.Closed _ -> true | _ -> false);
+      (function Party.Punished _ -> true | _ -> false);
+      (fun _ -> true) ];
   (* The final state must sit on chain: one UTXO of 10k for A, 90k for B. *)
   let c = Party.chan_exn s.alice "chan1" in
   let fund_op = Tx.outpoint_of (Option.get c.Party.fund) 0 in

@@ -105,6 +105,35 @@ let prop_roundtrip_update_req =
       let m = Wire.Update_req { id = "x"; theta; tstp } in
       Wire.decode (Wire.encode m) = Some m)
 
+(* [bytes_sent] sums the retained traffic log, so a driver whose log
+   cap has dropped messages must refuse to answer rather than
+   undercount; the message counter keeps counting either way. *)
+let test_bytes_sent_capped () =
+  let open_on cap =
+    let d = Driver.create ~net_log_cap:cap ~delta:1 ~seed:8 () in
+    let alice = Party.create ~pid:"alice" ~seed:1 () in
+    let bob = Party.create ~pid:"bob" ~seed:2 () in
+    Driver.add_party d alice;
+    Driver.add_party d bob;
+    Driver.open_channel d ~id:"c" ~alice ~bob ~bal_a:50_000 ~bal_b:50_000 ();
+    assert (Driver.run_until_operational d ~id:"c" ~alice ~bob);
+    d
+  in
+  let raises d =
+    match Driver.bytes_sent d with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let roomy = open_on 1_000 in
+  check_b "cap never reached: bytes_sent answers" false (raises roomy);
+  check_b "cap never reached: positive total" true (Driver.bytes_sent roomy > 0);
+  let tight = open_on 1 in
+  check_b "log truncated: bytes_sent raises" true (raises tight);
+  let none = open_on 0 in
+  check_b "no log: bytes_sent raises" true (raises none);
+  Alcotest.(check int) "no log: messages still counted"
+    (Driver.messages_sent roomy) (Driver.messages_sent none)
+
 let () =
   Alcotest.run "daric-wire"
     [ ( "wire",
@@ -113,4 +142,6 @@ let () =
           Alcotest.test_case "bad tag" `Quick test_bad_tag;
           Alcotest.test_case "update communication cost" `Quick
             test_update_communication_cost;
+          Alcotest.test_case "bytes_sent refuses a capped log" `Quick
+            test_bytes_sent_capped;
           QCheck_alcotest.to_alcotest prop_roundtrip_update_req ] ) ]
